@@ -6,6 +6,7 @@ type t = {
   po_preds : int list array;
   dep_m1 : int array;
   dep_m2 : int array;
+  sync : int array;
   outcome : Trace.outcome;
   violations : int list;
   var_names : string array;
@@ -92,26 +93,37 @@ let dep_pred_max_excluding t ~event ~excluding =
 let po_pred_max t e = List.fold_left max (-1) t.po_preds.(e)
 
 (* ------------------------------------------------------------------ *)
+(* The replay column                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each event's effect on the synchronization state as one int: its
+   semaphore or event variable shifted left by three, or'ed with the
+   operation — 0 none (computation, fork, join), 1 P, 2 V, 3 binary V,
+   4 Post, 5 Wait, 6 Clear.  A replay step reads one int and touches
+   one counter. *)
+let sync_code ~sem_binary e =
+  let code op arg = (arg lsl 3) lor op in
+  match e.Event.kind with
+  | Event.Computation | Event.Sync (Event.Fork | Event.Join) -> 0
+  | Event.Sync (Event.Sem_p s) -> code 1 s
+  | Event.Sync (Event.Sem_v s) -> code (if sem_binary.(s) then 3 else 2) s
+  | Event.Sync (Event.Post v) -> code 4 v
+  | Event.Sync (Event.Wait v) -> code 5 v
+  | Event.Sync (Event.Clear v) -> code 6 v
+
+(* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let finish_of_parts ~events ~po_edges ~outcome ~violations ~var_names
-    ~sem_names ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store
-    ~process_names =
-  let n = Array.length events in
-  let po_preds = Array.make n [] in
-  List.iter
-    (fun (a, b) ->
-      if a < 0 || a >= n || b < 0 || b >= n then
-        failwith "po edge out of range";
-      po_preds.(b) <- a :: po_preds.(b))
-    po_edges;
+let build ~events ~po_preds ~outcome ~violations ~var_names ~sem_names
+    ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store ~process_names =
   let dep_m1, dep_m2 = dep_maxima ~num_vars:(Array.length var_names) events in
   {
     events;
     po_preds;
     dep_m1;
     dep_m2;
+    sync = Array.map (sync_code ~sem_binary) events;
     outcome;
     violations;
     var_names;
@@ -126,18 +138,26 @@ let finish_of_parts ~events ~po_edges ~outcome ~violations ~var_names
 
 let make ~events ~po_edges ~outcome ~violations ~var_names ~sem_names
     ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store ~process_names =
-  finish_of_parts ~events ~po_edges ~outcome ~violations ~var_names ~sem_names
-    ~ev_names ~sem_init ~sem_binary ~ev_init ~final_store ~process_names
+  let n = Array.length events in
+  let po_preds = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      if a < 0 || a >= n || b < 0 || b >= n then
+        failwith "po edge out of range";
+      po_preds.(b) <- a :: po_preds.(b))
+    po_edges;
+  build ~events ~po_preds ~outcome ~violations ~var_names ~sem_names ~ev_names
+    ~sem_init ~sem_binary ~ev_init ~final_store ~process_names
 
 let of_trace (tr : Trace.t) =
   let po_edges = ref [] in
   Rel.iter (fun a b -> po_edges := (a, b) :: !po_edges) tr.Trace.program_order;
-  finish_of_parts ~events:tr.Trace.events ~po_edges:!po_edges
-    ~outcome:tr.Trace.outcome ~violations:tr.Trace.violations
-    ~var_names:tr.Trace.var_names ~sem_names:tr.Trace.sem_names
-    ~ev_names:tr.Trace.ev_names ~sem_init:tr.Trace.sem_init
-    ~sem_binary:tr.Trace.sem_binary ~ev_init:tr.Trace.ev_init
-    ~final_store:tr.Trace.final_store ~process_names:tr.Trace.process_names
+  make ~events:tr.Trace.events ~po_edges:!po_edges ~outcome:tr.Trace.outcome
+    ~violations:tr.Trace.violations ~var_names:tr.Trace.var_names
+    ~sem_names:tr.Trace.sem_names ~ev_names:tr.Trace.ev_names
+    ~sem_init:tr.Trace.sem_init ~sem_binary:tr.Trace.sem_binary
+    ~ev_init:tr.Trace.ev_init ~final_store:tr.Trace.final_store
+    ~process_names:tr.Trace.process_names
 
 let to_trace t =
   let n = n_events t in
@@ -165,59 +185,20 @@ let to_trace t =
 (* ------------------------------------------------------------------ *)
 
 let read path =
-  let outcome = ref None in
-  let var_names = ref [||] in
-  let sem_names = ref [||] in
-  let sem_binary = ref [||] in
-  let ev_names = ref [||] in
-  let sem_init = ref [||] in
-  let ev_init = ref [||] in
-  let processes = ref [] in
-  let events = ref [] in
-  let po_edges = ref [] in
-  let violations = ref [] in
-  let final = ref [] in
-  let saw_header = ref false in
-  Trace_io.fold_lines path
-    (fun () ~lineno line ->
-      match Trace_io.parse_line ~lineno line with
-      | Trace_io.D_blank -> ()
-      | Trace_io.D_header -> saw_header := true
-      | Trace_io.D_outcome o -> outcome := Some o
-      | Trace_io.D_vars names -> var_names := names
-      | Trace_io.D_sems (names, binary) ->
-          sem_names := names;
-          sem_binary := binary
-      | Trace_io.D_events names -> ev_names := names
-      | Trace_io.D_sem_init values -> sem_init := values
-      | Trace_io.D_ev_init values -> ev_init := values
-      | Trace_io.D_process (pid, name) ->
-          processes := (pid, name) :: !processes
-      | Trace_io.D_event e -> events := e :: !events
-      | Trace_io.D_po (a, b) -> po_edges := (a, b) :: !po_edges
-      | Trace_io.D_violation e -> violations := e :: !violations
-      | Trace_io.D_final (x, v) -> final := (x, v) :: !final)
-    ();
-  if not !saw_header then failwith "missing 'eotrace 1' header";
-  let events =
-    List.sort (fun a b -> compare a.Event.id b.Event.id) !events
-    |> Array.of_list
-  in
-  Array.iteri
-    (fun i e ->
-      if e.Event.id <> i then failwith "event ids are not dense from 0")
-    events;
-  if Array.length !sem_binary <> Array.length !sem_names then
-    sem_binary := Array.make (Array.length !sem_names) false;
-  finish_of_parts ~events ~po_edges:!po_edges
-    ~outcome:
-      (match !outcome with
-      | Some o -> o
-      | None -> failwith "missing outcome line")
-    ~violations:(List.rev !violations) ~var_names:!var_names
-    ~sem_names:!sem_names ~ev_names:!ev_names ~sem_init:!sem_init
-    ~sem_binary:!sem_binary ~ev_init:!ev_init
-    ~final_store:(List.rev !final) ~process_names:(List.rev !processes)
+  let p = Trace_io.read_parts path in
+  (* Each event's predecessors in file order: cons the edges last to
+     first. *)
+  let po_preds = Array.make (Array.length p.Trace_io.events) [] in
+  for i = Array.length p.Trace_io.po_src - 1 downto 0 do
+    let b = p.Trace_io.po_dst.(i) in
+    po_preds.(b) <- p.Trace_io.po_src.(i) :: po_preds.(b)
+  done;
+  build ~events:p.Trace_io.events ~po_preds ~outcome:p.Trace_io.outcome
+    ~violations:p.Trace_io.violations ~var_names:p.Trace_io.var_names
+    ~sem_names:p.Trace_io.sem_names ~ev_names:p.Trace_io.ev_names
+    ~sem_init:p.Trace_io.sem_init ~sem_binary:p.Trace_io.sem_binary
+    ~ev_init:p.Trace_io.ev_init ~final_store:p.Trace_io.final_store
+    ~process_names:p.Trace_io.process_names
 
 let save path t =
   let oc = open_out path in
@@ -256,9 +237,10 @@ let save path t =
             (String.concat " " (List.map string_of_int e.Event.reads))
             (String.concat " " (List.map string_of_int e.Event.writes)))
         t.events;
+      (* Each event's predecessors in list order, the order [read]
+         rebuilds them in. *)
       Array.iteri
-        (fun b preds ->
-          List.iter (fun a -> line "po %d %d" a b) (List.rev preds))
+        (fun b preds -> List.iter (fun a -> line "po %d %d" a b) preds)
         t.po_preds;
       List.iter (fun e -> line "violation %d" e) t.violations;
       List.iter (fun (x, v) -> line "final %s %d" x v) t.final_store)
@@ -269,69 +251,142 @@ let save path t =
 
 exception Cap_hit
 
+(* One sweep in id order.  Each variable's earlier computation readers
+   and writers are linked lists threaded through flat node arrays,
+   newest first.  An event's partners are collected once each (with
+   their conflict variables) before the next event starts, so every
+   pair is discovered exactly at its higher event; a final counting
+   sort on the lower event puts the pairs in (lower, higher) order. *)
 let conflicting_pairs ?(max_candidates = max_int) t =
+  let n = n_events t in
   let num_vars = Array.length t.var_names in
-  let pairs : (int * int, int list ref) Hashtbl.t = Hashtbl.create 256 in
+  let in_range v = v >= 0 && v < num_vars in
+  let touches = ref 0 in
+  Array.iter
+    (fun ev ->
+      if Event.is_computation ev then
+        touches :=
+          !touches + List.length ev.Event.reads + List.length ev.Event.writes)
+    t.events;
+  let node_ev = Array.make !touches 0 in
+  let node_pid = Array.make !touches 0 in
+  let node_next = Array.make !touches (-1) in
+  let nodes = ref 0 in
+  let writers = Array.make num_vars (-1) in
+  let readers = Array.make num_vars (-1) in
+  let push heads v e pid =
+    let k = !nodes in
+    node_ev.(k) <- e;
+    node_pid.(k) <- pid;
+    node_next.(k) <- heads.(v);
+    heads.(v) <- k;
+    incr nodes
+  in
+  (* The current event's partners: [slot.(w)] indexes [partner] while
+     [partner.(slot.(w)) = w] holds for a slot below [npart]. *)
+  let slot = Array.make n 0 in
+  let partner = ref (Array.make 16 0) in
+  let partner_vars = ref (Array.make 16 []) in
+  let npart = ref 0 in
   let count = ref 0 in
   let truncated = ref false in
-  let add a b v =
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt pairs key with
-    | Some vars -> vars := v :: !vars
-    | None ->
-        if !count >= max_candidates then begin
-          truncated := true;
-          raise Cap_hit
-        end;
-        incr count;
-        Hashtbl.add pairs key (ref [ v ])
+  let out_a = ref (Array.make 256 0) in
+  let out_b = ref (Array.make 256 0) in
+  let out_vars = ref (Array.make 256 []) in
+  let nout = ref 0 in
+  let widen a len fill =
+    let a' = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 a' 0 len;
+    a'
   in
-  (* Per variable, computation touches seen so far (id order). *)
-  let writers = Array.make num_vars [] in
-  let readers = Array.make num_vars [] in
+  let emit e =
+    for i = 0 to !npart - 1 do
+      if !nout = Array.length !out_a then begin
+        out_a := widen !out_a !nout 0;
+        out_b := widen !out_b !nout 0;
+        out_vars := widen !out_vars !nout []
+      end;
+      !out_a.(!nout) <- !partner.(i);
+      !out_b.(!nout) <- e;
+      !out_vars.(!nout) <- List.sort_uniq Int.compare !partner_vars.(i);
+      incr nout
+    done;
+    npart := 0
+  in
+  let found w v =
+    let s = slot.(w) in
+    if s < !npart && !partner.(s) = w then
+      !partner_vars.(s) <- v :: !partner_vars.(s)
+    else begin
+      if !count >= max_candidates then begin
+        truncated := true;
+        raise Cap_hit
+      end;
+      incr count;
+      if !npart = Array.length !partner then begin
+        partner := widen !partner !npart 0;
+        partner_vars := widen !partner_vars !npart []
+      end;
+      slot.(w) <- !npart;
+      !partner.(!npart) <- w;
+      !partner_vars.(!npart) <- [ v ];
+      incr npart
+    end
+  in
+  let rec visit k pid v =
+    if k >= 0 then begin
+      if node_pid.(k) <> pid then found node_ev.(k) v;
+      visit node_next.(k) pid v
+    end
+  in
+  let current = ref 0 in
   (try
      Array.iteri
        (fun e ev ->
          if Event.is_computation ev then begin
+           current := e;
            let pid = ev.Event.pid in
            List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 List.iter
-                   (fun (w, wpid) -> if wpid <> pid then add w e v)
-                   writers.(v))
+             (fun v -> if in_range v then visit writers.(v) pid v)
              ev.Event.reads;
            List.iter
              (fun v ->
-               if v >= 0 && v < num_vars then begin
-                 List.iter
-                   (fun (w, wpid) -> if wpid <> pid then add w e v)
-                   writers.(v);
-                 List.iter
-                   (fun (r, rpid) -> if rpid <> pid then add r e v)
-                   readers.(v)
+               if in_range v then begin
+                 visit writers.(v) pid v;
+                 visit readers.(v) pid v
                end)
              ev.Event.writes;
+           emit e;
            List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 readers.(v) <- (e, pid) :: readers.(v))
+             (fun v -> if in_range v then push readers v e pid)
              ev.Event.reads;
            List.iter
-             (fun v ->
-               if v >= 0 && v < num_vars then
-                 writers.(v) <- (e, pid) :: writers.(v))
+             (fun v -> if in_range v then push writers v e pid)
              ev.Event.writes
          end)
        t.events
-   with Cap_hit -> ());
-  let out =
-    Hashtbl.fold
-      (fun (a, b) vars acc ->
-        (a, b, List.sort_uniq compare !vars) :: acc)
-      pairs []
-  in
-  (List.sort compare out, !truncated)
+   with Cap_hit -> emit !current);
+  (* Counting sort on the lower event, stable in the higher one. *)
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to !nout - 1 do
+    let a = !out_a.(i) in
+    start.(a + 1) <- start.(a + 1) + 1
+  done;
+  for a = 1 to n do
+    start.(a) <- start.(a) + start.(a - 1)
+  done;
+  let order = Array.make !nout 0 in
+  for i = 0 to !nout - 1 do
+    let a = !out_a.(i) in
+    order.(start.(a)) <- i;
+    start.(a) <- start.(a) + 1
+  done;
+  let pairs = ref [] in
+  for j = !nout - 1 downto 0 do
+    let i = order.(j) in
+    pairs := (!out_a.(i), !out_b.(i), !out_vars.(i)) :: !pairs
+  done;
+  (!pairs, !truncated)
 
 (* ------------------------------------------------------------------ *)
 (* Replay certification                                                *)
@@ -339,33 +394,39 @@ let conflicting_pairs ?(max_candidates = max_int) t =
 
 exception Blocked
 
-let sync_step t sem ev e =
-  match t.events.(e).Event.kind with
-  | Event.Computation | Event.Sync (Event.Fork | Event.Join) -> ()
-  | Event.Sync (Event.Sem_p s) ->
-      if sem.(s) <= 0 then raise Blocked;
-      sem.(s) <- sem.(s) - 1
-  | Event.Sync (Event.Sem_v s) ->
-      if t.sem_binary.(s) then sem.(s) <- 1 else sem.(s) <- sem.(s) + 1
-  | Event.Sync (Event.Post v) -> ev.(v) <- true
-  | Event.Sync (Event.Wait v) -> if not ev.(v) then raise Blocked
-  | Event.Sync (Event.Clear v) -> ev.(v) <- false
+(* Replays the events [lo, hi) of the column, skipping [skip]: each
+   event's synchronization effect (see [sync_code]) applied to the
+   semaphore counters and event flags. *)
+let replay_range sem ev sync ~skip lo hi =
+  for e = lo to hi - 1 do
+    let code = sync.(e) in
+    if code <> 0 && e <> skip then begin
+      let arg = code lsr 3 in
+      match code land 7 with
+      | 1 ->
+          if sem.(arg) <= 0 then raise Blocked;
+          sem.(arg) <- sem.(arg) - 1
+      | 2 -> sem.(arg) <- sem.(arg) + 1
+      | 3 -> sem.(arg) <- 1
+      | 4 -> ev.(arg) <- true
+      | 5 -> if not ev.(arg) then raise Blocked
+      | _ -> ev.(arg) <- false
+    end
+  done
 
 let observed_replays t =
   let sem = Array.copy t.sem_init in
   let ev = Array.copy t.ev_init in
   let n = n_events t in
   (* Precedence is forward by construction (ids are in observed order
-     and [finish_of_parts] builds dependence maxima the same way), so
-     the synchronization state is the only thing left to check. *)
+     and [build] computes dependence maxima the same way), so the
+     synchronization state is the only thing left to check. *)
   try
     let ok = ref true in
     for b = 0 to n - 1 do
       ok := !ok && po_pred_max t b < b
     done;
-    for e = 0 to n - 1 do
-      sync_step t sem ev e
-    done;
+    replay_range sem ev t.sync ~skip:(-1) 0 n;
     !ok
   with Blocked -> false
 
@@ -383,13 +444,9 @@ let certify_swap t a b =
     let sem = Array.copy t.sem_init in
     let ev = Array.copy t.ev_init in
     try
-      for e = 0 to lo - 1 do
-        sync_step t sem ev e
-      done;
-      sync_step t sem ev hi;
-      sync_step t sem ev lo;
-      for e = lo + 1 to n - 1 do
-        if e <> hi then sync_step t sem ev e
-      done;
+      replay_range sem ev t.sync ~skip:(-1) 0 lo;
+      replay_range sem ev t.sync ~skip:(-1) hi (hi + 1);
+      replay_range sem ev t.sync ~skip:(-1) lo (lo + 1);
+      replay_range sem ev t.sync ~skip:hi (lo + 1) n;
       true
     with Blocked -> false

@@ -17,7 +17,8 @@
 
     Event ids are the observed schedule (as in every recorded trace).
     [read]/[save] speak the exact [eotrace 1] format of {!Trace_io}
-    (same parser core, same diagnostics), streaming line by line;
+    ([read] is {!Trace_io.read_parts}: same scanner, same builder, same
+    diagnostics), streaming through a fixed buffer;
     {!of_trace}/{!to_trace} convert losslessly at small sizes for the
     differential tests and for handing a small file to the exact
     engines. *)
@@ -28,6 +29,10 @@ type t = {
   dep_m1 : int array;
       (** largest dependence predecessor id per event, [-1] if none *)
   dep_m2 : int array;  (** second largest distinct, [-1] if none *)
+  sync : int array;
+      (** per event, its synchronization effect as one int (operation in
+          the low three bits, semaphore or event variable above): the
+          column {!observed_replays} and {!certify_swap} replay *)
   outcome : Trace.outcome;
   violations : int list;
   var_names : string array;
@@ -57,21 +62,24 @@ val make :
   process_names:(int * string) list ->
   t
 (** Direct constructor from parts (the generator path): builds the
-    predecessor lists and dependence maxima.  Raises [Failure] on a
-    program-order edge out of range. *)
+    predecessor lists, dependence maxima and replay column.  Raises
+    [Failure] on a program-order edge out of range; the other ids are
+    trusted to follow {!Trace_io}'s id-range rule. *)
 
 val of_trace : Trace.t -> t
 val to_trace : t -> Trace.t
 
 val read : string -> t
-(** Streaming reader for the [eotrace 1] format: one {!Trace_io}
-    directive at a time, never the whole file as a string.  Raises
-    [Failure] with the same messages as {!Trace_io.of_string}. *)
+(** Streaming reader for the [eotrace 1] format, built on
+    {!Trace_io.read_parts}: never the whole file as a string.  Raises
+    [Failure] with the same messages as {!Trace_io.load}. *)
 
 val save : string -> t -> unit
 (** Streaming writer; output is accepted by both {!read} and
     {!Trace_io.load} (and matches {!Trace_io.to_string} on converted
-    traces up to program-order edge ordering). *)
+    traces up to program-order edge ordering).  [read] gives back the
+    saved trace, [po_preds] order included, so [save] of a [read] of a
+    saved file rewrites it byte for byte. *)
 
 val dep_pred_max_excluding : t -> event:int -> excluding:int -> int
 (** The largest dependence predecessor of [event] other than
@@ -86,10 +94,12 @@ val conflicting_pairs :
   ?max_candidates:int -> t -> (int * int * int list) list * bool
 (** Race candidates: pairs of conflicting computation events of
     distinct processes, as [(lower id, higher id, conflict variables)]
-    sorted by pair, mirroring [Race.conflicting_pairs].  Computed per
-    variable in one pass.  Stops collecting {e new} pairs once
-    [max_candidates] is reached and reports [true] as the truncation
-    flag — callers must surface the cap, never silently drop it. *)
+    sorted by pair, mirroring [Race.conflicting_pairs].  Computed in
+    one id-order sweep that collects each event's partners once, then
+    one counting sort on the lower event.  Stops collecting {e new}
+    pairs once [max_candidates] is reached and reports [true] as the
+    truncation flag — callers must surface the cap, never silently drop
+    it. *)
 
 val observed_replays : t -> bool
 (** Does the observed schedule itself replay (forward precedence plus a

@@ -244,8 +244,12 @@ let prop_load_matches_of_string =
       | None -> true
       | Some tr ->
           let text = Trace_io.to_string tr in
+          (* The last line may lack its newline. *)
+          let unterminated = String.sub text 0 (String.length text - 1) in
           with_temp_file text (fun path ->
-              traces_equal (Trace_io.load path) (Trace_io.of_string text)))
+              traces_equal (Trace_io.load path) (Trace_io.of_string text))
+          && with_temp_file unterminated (fun path ->
+                 traces_equal (Trace_io.load path) (Trace_io.of_string text)))
 
 let error_message f = match f () with
   | exception Failure m -> m
@@ -310,6 +314,140 @@ let test_bigtrace_save_read () =
         (Bigtrace.n_events big');
       Alcotest.(check bool) "same trace" true
         (Bigtrace.to_trace big = Bigtrace.to_trace big'))
+
+(* [of_trace] takes program order from a relation, which has no edge
+   order; [read] keeps the file's.  Compared as sets. *)
+let po_as_sets t =
+  {
+    t with
+    Bigtrace.po_preds = Array.map (List.sort compare) t.Bigtrace.po_preds;
+  }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* The file's event lines permuted among their own positions. *)
+let shuffle_events ~seed text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let is_event l = String.length l > 6 && String.sub l 0 6 = "event " in
+  let slots =
+    List.init (Array.length lines) Fun.id
+    |> List.filter (fun i -> is_event lines.(i))
+    |> Array.of_list
+  in
+  let events = Array.map (fun i -> lines.(i)) slots in
+  let rng = Random.State.make [| seed |] in
+  for i = Array.length events - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = events.(i) in
+    events.(i) <- events.(j);
+    events.(j) <- x
+  done;
+  Array.iteri (fun k i -> lines.(i) <- events.(k)) slots;
+  String.concat "\n" (Array.to_list lines)
+
+let test_read_matches_load_families () =
+  List.iter
+    (fun family ->
+      let name = Progen.big_family_to_string family in
+      let big = Progen.big_trace ~family ~events:3_000 ~seed:4 in
+      let saved = Filename.temp_file "eo_triage_test" ".eotrace" in
+      let shuffled = Filename.temp_file "eo_triage_test" ".eotrace" in
+      let resaved = Filename.temp_file "eo_triage_test" ".eotrace" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ saved; shuffled; resaved ])
+        (fun () ->
+          Bigtrace.save saved big;
+          let r = Bigtrace.read saved in
+          Alcotest.(check bool)
+            (name ^ ": read gives back the saved trace")
+            true (r = big);
+          Alcotest.(check bool) (name ^ ": read = of_trace (load)") true
+            (po_as_sets r
+            = po_as_sets (Bigtrace.of_trace (Trace_io.load saved)));
+          Bigtrace.save resaved r;
+          Alcotest.(check bool) (name ^ ": save/read byte-identical") true
+            (read_file saved = read_file resaved);
+          let text = read_file saved in
+          let mixed = shuffle_events ~seed:9 text in
+          Alcotest.(check bool) (name ^ ": shuffle moved event lines") true
+            (mixed <> text);
+          write_file shuffled mixed;
+          let r' = Bigtrace.read shuffled in
+          Alcotest.(check bool) (name ^ ": shuffled file reads the same") true
+            (r' = r);
+          Alcotest.(check bool)
+            (name ^ ": shuffled read = of_trace (load)")
+            true
+            (po_as_sets r'
+            = po_as_sets (Bigtrace.of_trace (Trace_io.load shuffled)))))
+    [ Progen.Pc_mesh; Progen.Server_logs; Progen.Fork_join ]
+
+(* Small traces for the candidate sweep: a few processes and variables
+   (ids one past either end included, which both sweeps skip), some
+   non-computation events, repeated and shared read/write variables. *)
+let sweep_case_gen =
+  let open QCheck.Gen in
+  int_range 1 40 >>= fun n ->
+  int_range 0 5 >>= fun nvars ->
+  let var = int_range (-1) nvars in
+  let event id =
+    map3
+      (fun pid computation (reads, writes) ->
+        Event.make ~id ~pid ~seq:0
+          ~kind:
+            (if computation then Event.Computation else Event.Sync Event.Fork)
+          ~reads ~writes ())
+      (int_bound 3)
+      (frequency [ (6, return true); (1, return false) ])
+      (pair (list_size (int_bound 3) var) (list_size (int_bound 3) var))
+  in
+  flatten_a (Array.init n event) >>= fun events ->
+  frequency [ (1, return max_int); (3, int_bound 40) ] >>= fun cap ->
+  return (events, nvars, cap)
+
+let bigtrace_of_events events nvars =
+  Bigtrace.make ~events ~po_edges:[] ~outcome:Trace.Completed ~violations:[]
+    ~var_names:(Array.init nvars (Printf.sprintf "v%d"))
+    ~sem_names:[||] ~ev_names:[||] ~sem_init:[||] ~sem_binary:[||]
+    ~ev_init:[||] ~final_store:[] ~process_names:[]
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"flat candidate sweep = Hashtbl reference under caps"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (events, nvars, cap) ->
+         Printf.sprintf "vars %d, cap %d, events %s" nvars cap
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map (Format.asprintf "%a" Event.pp) events))))
+       sweep_case_gen)
+    (fun (events, nvars, cap) ->
+      let t = bigtrace_of_events events nvars in
+      Bigtrace.conflicting_pairs ~max_candidates:cap t
+      = Ref_bigtrace.conflicting_pairs ~max_candidates:cap t)
+
+let test_sweep_matches_reference_families () =
+  List.iter
+    (fun family ->
+      let big = Progen.big_trace ~family ~events:4_096 ~seed:2 in
+      let all, _ = Ref_bigtrace.conflicting_pairs big in
+      List.iter
+        (fun cap ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, cap %d"
+               (Progen.big_family_to_string family)
+               cap)
+            true
+            (Bigtrace.conflicting_pairs ~max_candidates:cap big
+            = Ref_bigtrace.conflicting_pairs ~max_candidates:cap big))
+        [ max_int; List.length all; List.length all / 2; 1; 0 ])
+    [ Progen.Pc_mesh; Progen.Server_logs; Progen.Fork_join ]
 
 let test_generated_families_triage_clean () =
   (* Every family's planted races are certified and every benign pair is
@@ -430,6 +568,11 @@ let suite =
     qcheck prop_bigtrace_roundtrip;
     Alcotest.test_case "bigtrace save/read roundtrip" `Quick
       test_bigtrace_save_read;
+    Alcotest.test_case "Bigtrace.read = of_trace (load), all families" `Quick
+      test_read_matches_load_families;
+    qcheck prop_sweep_matches_reference;
+    Alcotest.test_case "flat sweep = reference on all families" `Quick
+      test_sweep_matches_reference_families;
     Alcotest.test_case "generated families triage clean" `Quick
       test_generated_families_triage_clean;
     Alcotest.test_case "starved tier escalates, answer unchanged" `Quick
