@@ -5,12 +5,14 @@
    pair not already decided by the transitive closure of program order
    and dependence; closed pairs are compile-time constants.  Totality
    and antisymmetry are free (one variable per pair carries both
-   directions); transitivity costs two clauses per unordered triple
-   after constant folding.  Synchronization enabledness is encoded per
-   blocking event: counting semaphores as sequential-counter cardinality
-   constraints over the tokens visible before each P, binary semaphores
-   and event variables as last-setter trigger disjunctions with
-   one-directional auxiliary definitions.
+   directions).  Transitivity is enforced by the solver's order
+   propagator ([Cdcl.make ~orders]); only the standalone export spells
+   it out, as two clauses per unordered triple after constant folding.
+   Synchronization enabledness is encoded per blocking event: counting
+   semaphores as sequential-counter cardinality constraints over the
+   tokens visible before each P, binary semaphores and event variables
+   as last-setter trigger disjunctions with one-directional auxiliary
+   definitions.
 
    A model is a linear order (predecessor counts are a permutation), and
    every linear order satisfying the formula replays — so each SAT
@@ -28,44 +30,44 @@ type program = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* One copy of the order relation: pair variables for candidate pairs,
+   indexed at [a * n + b] for a < b. *)
+type copy = { pv : int array }
+
 (* Clause builder: DIMACS literals, fresh-variable allocation shared by
    however many order copies the formula needs (one for ordering
-   queries, two for the common-prefix race formula). *)
+   queries, two for the common-prefix race formula).  A copy's
+   transitivity clauses are not stored: [Transitivity] marks where the
+   standalone export places them. *)
 
-type builder = {
-  mutable nv : int;
-  mutable cls : int list list;  (* reversed *)
-  mutable ncls : int;
-}
+type item = Clause of int list | Transitivity of copy
+
+type builder = { mutable nv : int; mutable items : item list (* reversed *) }
 
 let fresh b =
   b.nv <- b.nv + 1;
   b.nv
 
-let addc b lits =
-  b.cls <- lits :: b.cls;
-  b.ncls <- b.ncls + 1
+let addc b lits = b.items <- Clause lits :: b.items
 
 (* An order literal: constant, or a DIMACS literal over a pair variable. *)
 type olit = T | F | L of int
 
 let oneg = function T -> F | F -> T | L l -> L (-l)
 
-(* Add a clause over order literals, folding constants: satisfied
-   clauses vanish, false literals drop out, and an all-false clause
-   becomes the (legal) empty clause. *)
-let add_olits b lits =
+(* Fold the constants of a clause over order literals: a satisfied
+   clause vanishes ([None]), false literals drop out, and an all-false
+   clause becomes the (legal) empty clause. *)
+let fold_olits lits =
   let rec go acc = function
-    | [] -> addc b acc
-    | T :: _ -> ()
+    | [] -> Some acc
+    | T :: _ -> None
     | F :: rest -> go acc rest
     | L l :: rest -> go (l :: acc) rest
   in
   go [] lits
 
-(* One copy of the order relation: pair variables for candidate pairs,
-   indexed at [a * n + b] for a < b. *)
-type copy = { pv : int array }
+let add_olits b lits = Option.iter (addc b) (fold_olits lits)
 
 let alloc_copy b ~n ~forced =
   let pv = Array.make (n * n) 0 in
@@ -83,6 +85,58 @@ let before ~n ~forced copy a b =
   else if forced.((b * n) + a) then F
   else if a < b then L copy.pv.((a * n) + b)
   else L (-copy.pv.((b * n) + a))
+
+(* The copy as the solver's order propagator sees it. *)
+let order_of ~n ~forced copy =
+  {
+    Cdcl.events = n;
+    before =
+      (fun a b ->
+        match before ~n ~forced copy a b with
+        | T -> `Always
+        | F -> `Never
+        | L l -> `Lit l);
+  }
+
+(* The transitivity clauses of one copy, for the standalone formula:
+   two clauses per triple forbid exactly the two cyclic assignments;
+   triples of three constants are consistent by closure and vanish
+   entirely.  The same constraint the order propagator enforces. *)
+let transitivity_clauses ~n ~forced copy emit =
+  let bf = before ~n ~forced copy in
+  let add lits = Option.iter emit (fold_olits lits) in
+  for a = 0 to n - 1 do
+    for c = a + 1 to n - 1 do
+      for d = c + 1 to n - 1 do
+        let x = bf a c and y = bf c d and z = bf a d in
+        match (x, y, z) with
+        | L _, _, _ | _, L _, _ | _, _, L _ ->
+            add [ oneg x; oneg y; z ];
+            add [ x; y; oneg z ]
+        | _ -> ()
+      done
+    done
+  done
+
+(* The formula the solver loads (transitivity left to the propagator)
+   and the equisatisfiable standalone one (transitivity spelled out in
+   place), from the same builder. *)
+let solver_cnf b =
+  Cnf.make ~num_vars:(max 1 b.nv)
+    (List.rev
+       (List.filter_map
+          (function Clause c -> Some c | Transitivity _ -> None)
+          b.items))
+
+let standalone_cnf ~n ~forced b =
+  let acc = ref [] in
+  List.iter
+    (function
+      | Clause c -> acc := c :: !acc
+      | Transitivity copy ->
+          transitivity_clauses ~n ~forced copy (fun c -> acc := c :: !acc))
+    (List.rev b.items);
+  Cnf.make ~num_vars:(max 1 b.nv) (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Forced pairs: the transitive closure of program order ∪ dependence.
@@ -160,28 +214,14 @@ let at_most b ~extra lits k =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Core clauses for one order copy: transitivity over candidate
-   triples, plus the enabledness condition of every blocking
+(* Core constraints for one order copy: transitivity (a marker, see
+   [item]), plus the enabledness condition of every blocking
    synchronization event. *)
 
 let emit_core b ~prog ~forced copy =
   let n = prog.n in
   let bf = before ~n ~forced copy in
-  (* Transitivity: two clauses per triple forbid exactly the two cyclic
-     assignments; triples of three constants are consistent by closure
-     and vanish entirely. *)
-  for a = 0 to n - 1 do
-    for c = a + 1 to n - 1 do
-      for d = c + 1 to n - 1 do
-        let x = bf a c and y = bf c d and z = bf a d in
-        (match (x, y, z) with
-        | L _, _, _ | _, L _, _ | _, _, L _ ->
-            add_olits b [ oneg x; oneg y; z ];
-            add_olits b [ x; y; oneg z ]
-        | _ -> ())
-      done
-    done
-  done;
+  b.items <- Transitivity copy :: b.items;
   (* Group synchronization events per object. *)
   let n_sems = Array.length prog.sem_init in
   let n_evs = Array.length prog.ev_init in
@@ -305,7 +345,8 @@ type t = {
   prog : program;
   forced : bool array;
   copy : copy;
-  base : Cnf.t;
+  builder : builder;  (* kept for the standalone export *)
+  base : Cnf.t;  (* the clauses the solver loads *)
   mutable solver : Cdcl.t option;
   stats : Counters.t;
   budget : Budget.t;
@@ -320,15 +361,16 @@ let count_encoding stats (cnf : Cnf.t) =
 let build ?(stats = Counters.null) ?(budget = Budget.unlimited) prog =
   let n = prog.n in
   let forced = forced_matrix prog in
-  let b = { nv = 0; cls = []; ncls = 0 } in
+  let b = { nv = 0; items = [] } in
   let copy = alloc_copy b ~n ~forced in
   emit_core b ~prog ~forced copy;
-  let base = Cnf.make ~num_vars:(max 1 b.nv) (List.rev b.cls) in
+  let base = solver_cnf b in
   count_encoding stats base;
   {
     prog;
     forced;
     copy;
+    builder = b;
     base;
     solver = None;
     stats;
@@ -339,7 +381,7 @@ let build ?(stats = Counters.null) ?(budget = Budget.unlimited) prog =
 
 let program t = t.prog
 
-let cnf t = t.base
+let cnf t = standalone_cnf ~n:t.prog.n ~forced:t.forced t.builder
 
 let num_vars t = t.base.Cnf.num_vars
 
@@ -357,7 +399,11 @@ let solver t =
   match t.solver with
   | Some s -> s
   | None ->
-      let s = Cdcl.make ~budget:t.budget t.base in
+      let s =
+        Cdcl.make ~budget:t.budget
+          ~orders:[ order_of ~n:t.prog.n ~forced:t.forced t.copy ]
+          t.base
+      in
       t.solver <- Some s;
       s
 
@@ -383,25 +429,13 @@ let solve t assumptions =
     ~finally:(fun () -> commit_solver_stats t)
     (fun () -> Cdcl.solve_assuming s assumptions)
 
-(* Decode: with totality, antisymmetry and transitivity all enforced,
-   predecessor counts are a permutation of 0..n−1, so sorting by them
-   *is* the witness order. *)
+(* Decode: a model orders each copy linearly, and that order *is* the
+   witness schedule.  The check behind [Cdcl.linear_order] makes an
+   intransitive model a loud failure rather than a wrong schedule. *)
 let schedule_of_copy ~n ~forced copy model =
-  let value = function
-    | T -> true
-    | F -> false
-    | L l -> if l > 0 then model.(l) else not model.(-l)
-  in
-  let count = Array.make n 0 in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if a <> b && value (before ~n ~forced copy a b) then
-        count.(b) <- count.(b) + 1
-    done
-  done;
-  let order = Array.init n Fun.id in
-  Array.sort (fun x y -> compare count.(x) count.(y)) order;
-  order
+  match Cdcl.linear_order (order_of ~n ~forced copy) model with
+  | Some order -> order
+  | None -> invalid_arg "Encode: model is not a linear order"
 
 let feasible_witness t =
   match solve t [] with
@@ -434,7 +468,7 @@ let race_formula_parts t a b =
   let prog = t.prog in
   let n = prog.n in
   let forced = t.forced in
-  let b_ = { nv = 0; cls = []; ncls = 0 } in
+  let b_ = { nv = 0; items = [] } in
   let c1 = alloc_copy b_ ~n ~forced in
   emit_core b_ ~prog ~forced c1;
   let c2 = alloc_copy b_ ~n ~forced in
@@ -463,20 +497,26 @@ let race_formula_parts t a b =
       end
     done
   done;
-  (Cnf.make ~num_vars:(max 1 b_.nv) (List.rev b_.cls), c1, c2)
+  (b_, c1, c2)
 
 let race_formula t a b =
   if a < 0 || a >= t.prog.n || b < 0 || b >= t.prog.n then
     invalid_arg "Encode.race_formula: event out of range";
-  let f, _, _ = race_formula_parts t a b in
-  f
+  let b_, _, _ = race_formula_parts t a b in
+  standalone_cnf ~n:t.prog.n ~forced:t.forced b_
 
 let race_witness t a b =
   if a = b then None
   else begin
-    let f, c1, c2 = race_formula_parts t a b in
+    let b_, c1, c2 = race_formula_parts t a b in
+    let f = solver_cnf b_ in
     count_encoding t.stats f;
-    let s = Cdcl.make ~budget:t.budget f in
+    let n = t.prog.n and forced = t.forced in
+    let s =
+      Cdcl.make ~budget:t.budget
+        ~orders:[ order_of ~n ~forced c1; order_of ~n ~forced c2 ]
+        f
+    in
     let result =
       Fun.protect
         ~finally:(fun () ->
@@ -490,7 +530,6 @@ let race_witness t a b =
     in
     match result with
     | Cdcl.Sat m ->
-        let n = t.prog.n and forced = t.forced in
         Some
           ( schedule_of_copy ~n ~forced c1 m,
             schedule_of_copy ~n ~forced c2 m )

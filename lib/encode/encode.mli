@@ -7,10 +7,13 @@
     the transitive closure of program order and dependence; closed pairs
     are constants folded away at compile time.  Totality and
     antisymmetry are structural (one variable carries both directions of
-    a pair); transitivity costs two clauses per candidate triple;
-    counting semaphores become sequential-counter cardinality
-    constraints, binary semaphores and event variables become
-    last-setter trigger disjunctions over one-directional auxiliaries.
+    a pair); transitivity is left to the solver's order propagator
+    ({!Cdcl.make} [~orders]) and only spelled out, as two clauses per
+    candidate triple, in the standalone formulas {!cnf} and
+    {!race_formula}; counting semaphores become sequential-counter
+    cardinality constraints, binary semaphores and event variables
+    become last-setter trigger disjunctions over one-directional
+    auxiliaries.
 
     Every satisfying model decodes into a witness schedule — a total
     order whose replay is feasible — so callers can (and do) certify
@@ -50,9 +53,9 @@ type t
     batch. *)
 
 val build : ?stats:Counters.t -> ?budget:Budget.t -> program -> t
-(** Compile the feasibility formula.  Bumps [Encoder_vars] and
-    [Encoder_clauses]; later probes bump [Solver_conflicts] and
-    [Solver_propagations].
+(** Compile the feasibility formula, without transitivity clauses.
+    Bumps [Encoder_vars] and [Encoder_clauses] by what the solver loads;
+    later probes bump [Solver_conflicts] and [Solver_propagations].
 
     [?budget] is handed to every solver instance this [t] creates; an
     expiring budget makes any probe raise [Budget.Expired] (counters are
@@ -62,11 +65,15 @@ val build : ?stats:Counters.t -> ?budget:Budget.t -> program -> t
 val program : t -> program
 
 val cnf : t -> Cnf.t
-(** The base formula (no query assumptions). *)
+(** The base formula (no query assumptions) as a standalone CNF, with
+    the transitivity clauses spelled out: equisatisfiable with what the
+    probes solve, for export and for solvers without the order
+    propagator.  Built afresh on each call. *)
 
 val num_vars : t -> int
 
 val num_clauses : t -> int
+(** The clauses the solver loads — {!cnf} minus transitivity. *)
 
 val order_literal : t -> int -> int -> [ `Always | `Never | `Lit of Cnf.literal ]
 (** [order_literal t a b] is the literal asserting "[a] precedes [b]":

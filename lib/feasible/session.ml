@@ -263,11 +263,17 @@ let auto_reach t =
       t.auto_reach <- Some r;
       r
 
-(* The SAT tier compiles one two-copy-capable formula; past this many
-   events the encoding itself dwarfs the other tiers, so the ladder
-   skips straight to enumeration (no escalation counted: the tier is
-   absent, not defeated). *)
-let auto_sat_cap = 128
+(* Past this many events the ladder skips the SAT tier (no escalation
+   counted: the tier is absent, not defeated).  Rule: the largest swept
+   size at which every sat-engine answer to [batch FILE mhb:a:b chb:b:a]
+   on Theorem 1 reductions of random 3-CNF (formulas with one model and
+   unsatisfiable ones, 4-16 draws per size over three sweeps; release
+   build on a shared 2-core x86-64 box) came in under 2 s.  Slowest
+   draws: 0.25 s at 196 events, 0.55 s at 288, 1.30 s at 318, then
+   2.18 s at 350.  The race layer's per-pair ladder shares the cap;
+   E24 in EXPERIMENTS.md also times [races --engine auto] on
+   reductions and generated traces up to this size. *)
+let auto_sat_cap = 318
 
 let auto_encoder t =
   if t.sk.Skeleton.n > auto_sat_cap then None
@@ -355,8 +361,11 @@ let memo_pair t kind a b compute =
       v
 
 (* Tier 4 for the ordering queries: plain bounded schedule enumeration.
-   A completed walk is exact (the search space is finite); a budget trip
-   propagates as [Expired]. *)
+   [Enumerate.iter] stops quietly when the slice trips, so a walk can
+   end incomplete: a schedule it found is still a witness, but an
+   answer that rests on having seen every schedule raises [Expired]
+   instead, for the outcome layer to degrade.  A completed walk is
+   exact (the search space is finite). *)
 let scan_before schedule a b =
   let n = Array.length schedule in
   let rec scan i =
@@ -367,51 +376,31 @@ let scan_before schedule a b =
   in
   scan 0
 
-let enum_exists_before t a b =
-  let found = ref false in
+let enum_find t pred =
+  let budget = auto_enum_budget t in
+  let found = ref None in
   let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        if scan_before schedule a b then begin
-          found := true;
+    Enumerate.iter ~stats:t.c ~budget t.sk (fun schedule ->
+        if pred schedule then begin
+          found := Some (Array.copy schedule);
           raise Enumerate.Stop
         end)
   in
+  if !found = None && Budget.exhausted budget then raise Budget.Expired;
   !found
 
-let enum_witness_before t a b =
-  let witness = ref None in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        if scan_before schedule a b then begin
-          witness := Some (Array.copy schedule);
-          raise Enumerate.Stop
-        end)
-  in
-  !witness
+let enum_witness_before t a b = enum_find t (fun s -> scan_before s a b)
+let enum_exists_before t a b = enum_witness_before t a b <> None
+let enum_feasible t = enum_find t (fun _ -> true) <> None
 
 let enum_must_before t a b =
-  let any = ref false and contra = ref false in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk
-      (fun schedule ->
-        any := true;
-        if scan_before schedule b a then begin
-          contra := true;
-          raise Enumerate.Stop
-        end)
-  in
-  !any && not !contra
-
-let enum_feasible t =
   let any = ref false in
-  let (_ : int) =
-    Enumerate.iter ~stats:t.c ~budget:(auto_enum_budget t) t.sk (fun _ ->
+  let contra =
+    enum_find t (fun s ->
         any := true;
-        raise Enumerate.Stop)
+        scan_before s b a)
   in
-  !any
+  !any && contra = None
 
 let auto_exists_before t a b =
   if a = b then false
@@ -644,12 +633,19 @@ let lookup_cached t ~kind ~decode =
             None)
   end
 
+(* The auto ladder's enumeration slice was cut: some answer of this
+   session depends on the [EO_TRIAGE_ENUM_NODES] setting, which the
+   cache key does not carry. *)
+let enum_slice_cut t =
+  match t.auto_enum_budget with Some b -> Budget.exhausted b | None -> false
+
 let store_cached t ~kind payload =
   (* Budget-truncated results are partial in a nondeterministic,
      timing-dependent way; memoizing them inside this session is fine,
      but they must never be filed under a key a later (unbudgeted)
      session would trust. *)
-  if cache_enabled t && not (Budget.exhausted t.budget) then begin
+  if cache_enabled t && not (Budget.exhausted t.budget || enum_slice_cut t)
+  then begin
     let ek = entry_key t ~kind in
     if t.cache.memory then Lru.store ek payload;
     disk_write t ek payload;
@@ -1034,10 +1030,21 @@ let compute_summary_reduced t =
      probes on the shared compiled formula (each positive answer
      replay-certified); class structure and counting below stay on the
      enumeration engines either way. *)
+  (* Under auto a pair whose ladder ends in a cut enumeration walk
+     stays unset (the sound direction) and marks the summary truncated;
+     the other pairs are still filled by the tiers that can decide
+     them.  Only the session budget's own expiry stops the fill. *)
+  let cut = ref false in
   let fill_before_sat rel =
     for a = 0 to n - 1 do
       for b = 0 to n - 1 do
-        if a <> b && exists_before t a b then Rel.add rel a b
+        if a <> b then
+          match exists_before t a b with
+          | true -> Rel.add rel a b
+          | false -> ()
+          | exception Budget.Expired ->
+              Budget.raise_if_exhausted t.budget;
+              cut := true
       done
     done
   in
@@ -1085,6 +1092,7 @@ let compute_summary_reduced t =
   let acc = result handle in
   let truncated =
     (match t.por_stats with Some (_, tr) -> tr | None -> false)
+    || !cut
     || Budget.exhausted t.budget
   in
   (* A DP count cut short has no partial value; 0 is the only sound

@@ -159,7 +159,7 @@ val schedule_count_outcome : t -> int Budget.outcome
 
     Under [Engine.Auto] every per-pair primitive runs a tiered triage
     ladder: the attached approximation oracle, then the memoized state
-    engine, then the SAT backend (at [n <= 128]), then bounded
+    engine, then the SAT backend (at [n <= auto_sat_cap]), then bounded
     enumeration — tiers 2–4 each under their own {!Budget.sub} slice of
     the session budget ([EO_TRIAGE_REACH_NODES], [EO_TRIAGE_SAT_CONFLICTS],
     [EO_TRIAGE_ENUM_NODES]).  A tier that cannot decide escalates
@@ -170,6 +170,10 @@ val schedule_count_outcome : t -> int Budget.outcome
     The oracle itself lives a layer up (the triage library owns the
     approximation devices); sessions only know the verdict shape.  With
     no oracle attached the ladder simply starts at tier 2. *)
+
+val auto_sat_cap : int
+(** The largest event count the ladder sends to the SAT tier (here and
+    in the race layer's per-pair ladder); larger programs skip it. *)
 
 type oracle = {
   o_feasible : unit -> bool option;

@@ -46,8 +46,8 @@ let skeleton_without_pair x e1 e2 =
    engine, the SAT backend and an enumeration-scale state search, each
    under its own [Budget.sub] slice.  A slice expiry escalates while the
    caller's budget is alive; real expiry degrades to "no race" in the
-   caller's [expired] direction. *)
-let auto_sat_cap = 128
+   caller's [expired] direction.  The SAT tier shares the session
+   ladder's size cap. *)
 
 let auto_is_feasible_race ~tier1 ~stats ~budget ~expired x sk e1 e2 =
   let escalate () =
@@ -66,7 +66,7 @@ let auto_is_feasible_race ~tier1 ~stats ~budget ~expired x sk e1 e2 =
     v
   in
   let sat_tier () =
-    if sk.Skeleton.n > auto_sat_cap then None
+    if sk.Skeleton.n > Session.auto_sat_cap then None
     else begin
       let slice =
         Budget.sub budget ~conflict_budget:(Config.triage_sat_conflicts ()) ()
@@ -101,7 +101,7 @@ let auto_is_feasible_race ~tier1 ~stats ~budget ~expired x sk e1 e2 =
                       (* The SAT tier is absent past the size gate; only a
                          defeated tier counts an escalation. *)
                       match
-                        if sk.Skeleton.n > auto_sat_cap then Some ()
+                        if sk.Skeleton.n > Session.auto_sat_cap then Some ()
                         else escalate ()
                       with
                       | None -> expired ()

@@ -110,17 +110,49 @@ let test_cdcl_conflict_budget () =
     | Some r -> Budget.reason_name r
     | None -> "none")
 
+let with_engine engine f =
+  let saved = Engine.current () in
+  Engine.set engine;
+  Fun.protect ~finally:(fun () -> Engine.set saved) f
+
+(* An already-expired deadline stops the first SAT probe of a large
+   Theorem 1 reduction (390 events) before it propagates anything: the
+   answer degrades instead of the solver descending through 85k
+   variables. *)
+let test_expired_deadline_stops_sat_probe () =
+  let f = Sat_gen.random_3cnf ~seed:1 ~num_vars:8 ~num_clauses:34 in
+  let x = Trace.to_execution (Reduction_sem.trace (Reduction_sem.build f)) in
+  Alcotest.(check int) "reduction size" 390 (Execution.n_events x);
+  let budget = Budget.create ~timeout_ms:1 () in
+  Unix.sleepf 0.005;
+  with_engine Engine.Sat @@ fun () ->
+  let tel = Telemetry.create () in
+  let s = Session.of_execution ~stats:tel ~budget ~cache:Session.no_cache x in
+  (match Session.feasible_exists_outcome s with
+  | Budget.Bound_hit true -> ()
+  | _ -> Alcotest.fail "expired deadline did not stop the first probe");
+  Alcotest.(check int) "no propagation past the deadline" 0
+    (Counters.get (Telemetry.counters tel) Counters.Solver_propagations)
+
+(* Propagation polls the deadline on its own, so a long conflict-free
+   stretch cannot outrun it: a chain of 20k root-level implications
+   under an expired budget stops inside [Cdcl.make]. *)
+let test_cdcl_propagation_checks_deadline () =
+  let n = 20_000 in
+  let chain = [ 1 ] :: List.init (n - 1) (fun i -> [ -(i + 1); i + 2 ]) in
+  let f = Cnf.make ~num_vars:n chain in
+  let budget = Budget.create ~timeout_ms:1 () in
+  Unix.sleepf 0.005;
+  match Cdcl.make ~budget f with
+  | exception Budget.Expired -> ()
+  | _ -> Alcotest.fail "root-level propagation ran past the deadline"
+
 (* ---- degradation soundness, end to end ---- *)
 
 let small_execution prog =
   match Gen_progs.completed_trace prog with
   | Some t when Trace.n_events t <= 9 -> Some (Trace.to_execution t)
   | _ -> None
-
-let with_engine engine f =
-  let saved = Engine.current () in
-  Engine.set engine;
-  Fun.protect ~finally:(fun () -> Engine.set saved) f
 
 let same_summary name (a : Relations.t) (b : Relations.t) =
   if
@@ -240,4 +272,8 @@ let suite =
     Alcotest.test_case "outcome helpers" `Quick test_outcome_helpers;
     Alcotest.test_case "CDCL conflict budget" `Quick test_cdcl_conflict_budget;
     qcheck test_budget_monotonic;
+    Alcotest.test_case "expired deadline stops a reduction's SAT probe" `Quick
+      test_expired_deadline_stops_sat_probe;
+    Alcotest.test_case "CDCL propagation checks the deadline" `Quick
+      test_cdcl_propagation_checks_deadline;
   ]

@@ -137,6 +137,116 @@ let prop_witness_valid =
       | Cdcl.Sat a -> Cnf.eval a f
       | Cdcl.Unsat -> true)
 
+(* The order propagator against eager transitivity.  An instance is one
+   order copy over [n] events — each pair a fresh variable, or now and
+   then a constant oriented by a hidden linear order (so the constants
+   are acyclic) — plus random clauses over the order variables and two
+   auxiliaries.  The lazily solved formula must agree with Dpll on the
+   same clauses plus every transitivity clause, with and without an
+   assumption, and every model must decode to a linear order. *)
+let order_instance =
+  let gen =
+    QCheck.Gen.(
+      int_range 3 6 >>= fun n ->
+      shuffle_l (List.init n Fun.id) >>= fun rank ->
+      list_repeat (n * n) (int_range 0 3) >>= fun kinds ->
+      let rank = Array.of_list rank and kinds = Array.of_list kinds in
+      let table = Array.make (n * n) `Never and nv = ref 0 in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          table.((a * n) + b) <-
+            (if kinds.((a * n) + b) = 0 then
+               if rank.(a) < rank.(b) then `Always else `Never
+             else begin
+               incr nv;
+               `Lit !nv
+             end)
+        done
+      done;
+      let vars = !nv + 2 in
+      list_size (int_range 0 10)
+        (list_size (int_range 1 3)
+           (int_range 1 vars >>= fun v -> oneofl [ v; -v ]))
+      >>= fun clauses ->
+      int_range (-vars) vars >>= fun assumption ->
+      return (n, table, vars, clauses, assumption))
+  in
+  QCheck.make
+    ~print:(fun (n, _, vars, clauses, assumption) ->
+      Printf.sprintf "n=%d vars=%d assume=%d %s" n vars assumption
+        (Format.asprintf "%a" Cnf.pp (Cnf.make ~num_vars:vars clauses)))
+    gen
+
+let prop_order_propagator_matches_eager =
+  QCheck.Test.make ~name:"order propagator = eager transitivity (Dpll)"
+    ~count:300 order_instance (fun (n, table, vars, clauses, assumption) ->
+      let before a b =
+        if a = b then `Never
+        else if a < b then table.((a * n) + b)
+        else
+          match table.((b * n) + a) with
+          | `Always -> `Never
+          | `Never -> `Always
+          | `Lit l -> `Lit (-l)
+      in
+      let order = { Cdcl.events = n; before } in
+      (* ¬(a<b) ∨ ¬(b<c) ∨ (a<c) for every ordered triple, constants
+         folded: a true literal drops the clause, a false one drops out. *)
+      let transitivity = ref [] in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          for c = 0 to n - 1 do
+            if a <> b && b <> c && a <> c then begin
+              let lit positive = function
+                | `Always -> if positive then `Sat else `Drop
+                | `Never -> if positive then `Drop else `Sat
+                | `Lit l -> `Keep (if positive then l else -l)
+              in
+              let lits =
+                [ lit false (before a b); lit false (before b c); lit true (before a c) ]
+              in
+              if not (List.mem `Sat lits) then
+                transitivity :=
+                  List.filter_map (function `Keep l -> Some l | _ -> None) lits
+                  :: !transitivity
+            end
+          done
+        done
+      done;
+      let f = Cnf.make ~num_vars:vars clauses in
+      let eager extra =
+        Dpll.is_satisfiable
+          (Cnf.make ~num_vars:vars (extra @ !transitivity @ clauses))
+      in
+      let t = Cdcl.make ~orders:[ order ] f in
+      let lazy_answer assumptions =
+        match Cdcl.solve_assuming t assumptions with
+        | Cdcl.Sat m ->
+            if Cdcl.linear_order order m = None then
+              QCheck.Test.fail_report "model is not a linear order";
+            true
+        | Cdcl.Unsat -> false
+      in
+      lazy_answer [] = eager []
+      && (assumption = 0 || lazy_answer [ assumption ] = eager [ [ assumption ] ]))
+
+let test_malformed_orders_rejected () =
+  let f = Cnf.make ~num_vars:3 [] in
+  let order before = { Cdcl.events = 3; before } in
+  let var a b = if a = b then `Never else if a < b then `Lit (a + b) else `Lit (-(a + b)) in
+  let rejects name before =
+    match Cdcl.make ~orders:[ order before ] f with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  ignore (Cdcl.make ~orders:[ order var ] f);
+  rejects "reflexive pair" (fun a b -> if a = b then `Always else var a b);
+  rejects "asymmetric pair" (fun a b -> if (a, b) = (1, 0) then `Lit 1 else var a b);
+  rejects "constant cycle" (fun a b ->
+      if a = b then `Never else if (b - a + 3) mod 3 = 1 then `Always else `Never);
+  rejects "shared variable" (fun a b ->
+      if a = b then `Never else if a < b then `Lit 1 else `Lit (-1))
+
 let prop_medium_random_agrees =
   QCheck.Test.make ~name:"CDCL agrees with DPLL on 12-var random 3-CNF"
     ~count:60
@@ -162,4 +272,7 @@ let suite =
     qcheck prop_agrees_with_dpll;
     qcheck prop_witness_valid;
     qcheck prop_medium_random_agrees;
+    qcheck prop_order_propagator_matches_eager;
+    Alcotest.test_case "malformed order copies rejected" `Quick
+      test_malformed_orders_rejected;
   ]

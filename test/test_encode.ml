@@ -172,6 +172,73 @@ let prop_session_witnesses =
       done;
       true)
 
+(* The propagator-backed probes against Dpll on the standalone formulas:
+   [Encode.cnf] and [Encode.race_formula] spell transitivity out as
+   clauses, while the solver behind the witness probes leaves it to the
+   order propagator.  Feasibility, every exists-before probe and every
+   race formula must get the same verdict both ways. *)
+let prop_probes_match_dpll_on_cnf =
+  QCheck.Test.make ~name:"propagator-backed probes = Dpll on the export"
+    ~count:30 Gen_progs.arbitrary_program (fun prog ->
+      QCheck.assume (small_skeleton prog <> None);
+      let sk = Option.get (small_skeleton prog) in
+      let n = sk.Skeleton.n in
+      let enc = Encode.build (Session.encode_program sk) in
+      let full = Encode.cnf enc in
+      let dpll_assuming = function
+        | `Never -> false
+        | `Always -> Dpll.is_satisfiable full
+        | `Lit l ->
+            Dpll.is_satisfiable
+              (Cnf.make ~num_vars:full.Cnf.num_vars ([ l ] :: full.Cnf.clauses))
+      in
+      if (Encode.feasible_witness enc <> None) <> Dpll.is_satisfiable full then
+        QCheck.Test.fail_report "feasibility differs from Dpll";
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if a <> b then begin
+            if
+              Encode.exists_before_witness enc a b <> None
+              <> dpll_assuming (Encode.order_literal enc a b)
+            then QCheck.Test.fail_reportf "exists-before %d %d differs" a b;
+            if
+              Encode.race_witness enc a b <> None
+              <> Dpll.is_satisfiable (Encode.race_formula enc a b)
+            then QCheck.Test.fail_reportf "race %d %d differs" a b
+          end
+        done
+      done;
+      true)
+
+(* The order check behind every decoded witness: a model of the
+   standalone formula decodes to a linear order, and flipping the order
+   variable of its first and last events (still total and antisymmetric,
+   now cyclic through any event between them) is rejected. *)
+let test_order_check_rejects_intransitive () =
+  let trace =
+    Gen_progs.completed_trace
+      (Parse.program "proc p { x := 1 }\nproc q { y := 1 }\nproc r { z := 1 }")
+  in
+  let sk = Skeleton.of_execution (Trace.to_execution (Option.get trace)) in
+  let n = sk.Skeleton.n in
+  let enc = Encode.build (Session.encode_program sk) in
+  let order = { Cdcl.events = n; before = Encode.order_literal enc } in
+  match Cdcl.solve (Encode.cnf enc) with
+  | Cdcl.Unsat -> Alcotest.fail "three independent writes are feasible"
+  | Cdcl.Sat model -> (
+      let schedule =
+        match Cdcl.linear_order order model with
+        | Some s -> s
+        | None -> Alcotest.fail "a model of the export is not a linear order"
+      in
+      match Encode.order_literal enc schedule.(0) schedule.(n - 1) with
+      | `Lit l ->
+          let corrupt = Array.copy model in
+          corrupt.(abs l) <- not corrupt.(abs l);
+          Alcotest.(check bool) "intransitive model rejected" true
+            (Cdcl.linear_order order corrupt = None)
+      | `Always | `Never -> Alcotest.fail "the outer pair should be free")
+
 (* The UNSAT side at scale beyond random pairs: on the Theorem 1/3
    reduction programs, MHB(a,b) under Engine.Sat must track the DPLL
    verdict on the reduced formula — the theorem checkers compare the
@@ -226,4 +293,7 @@ let suite =
     qcheck prop_theorem3_sat_engine;
     Alcotest.test_case "theorems 1-2 fixed formulas, sat engine" `Quick
       test_theorem_fixed_sat_engine;
+    qcheck prop_probes_match_dpll_on_cnf;
+    Alcotest.test_case "order check rejects an intransitive model" `Quick
+      test_order_check_rejects_intransitive;
   ]

@@ -539,6 +539,93 @@ let test_dead_budget_degrades_soundly () =
       | Budget.Bound_hit false -> Alcotest.fail "must_before under-reported"
       | Budget.Exact _ -> Alcotest.fail "dead budget not reported")
 
+(* All three budgeted tiers starved at once, with no oracle attached:
+   reach and enumeration stop after one node, SAT after one conflict.
+   On the Theorem 1 reductions the answers need a complete walk, which
+   the starved enumeration cannot finish — so they must come back
+   degraded in the relation's sound direction, never as a wrong
+   [Exact]. *)
+let test_starved_ladder_never_wrongly_exact () =
+  List.iter
+    (fun (name, f) ->
+      let unsat = not (Dpll.is_satisfiable f) in
+      let r = Reduction_sem.build f in
+      let tr = Reduction_sem.trace r in
+      let a, b = Reduction_sem.events_ab r tr in
+      let x = Trace.to_execution tr in
+      with_engine Engine.Auto @@ fun () ->
+      with_env "EO_TRIAGE_REACH_NODES" "1" @@ fun () ->
+      with_env "EO_TRIAGE_SAT_CONFLICTS" "1" @@ fun () ->
+      with_env "EO_TRIAGE_ENUM_NODES" "1" @@ fun () ->
+      let s = fresh_session x in
+      (match Session.must_before_outcome s a b with
+      | Budget.Bound_hit true -> ()
+      | Budget.Bound_hit false ->
+          Alcotest.failf "%s: mhb degraded to false" name
+      | Budget.Exact v ->
+          (* Proving mhb needs the complete walk; refuting it does not. *)
+          if v || unsat then
+            Alcotest.failf "%s: starved ladder answered mhb = %b as exact" name
+              v);
+      match Session.exists_before_outcome s b a with
+      | Budget.Bound_hit false -> ()
+      | Budget.Bound_hit true ->
+          Alcotest.failf "%s: chb degraded to true" name
+      | Budget.Exact v ->
+          if v = unsat then
+            Alcotest.failf "%s: starved ladder answered chb = %b, wrongly" name
+              v)
+    [
+      ("unsat", Sat_gen.unsat_3cnf_small ());
+      ("sat", Sat_gen.sat_3cnf_small ());
+    ]
+
+(* The relations path under the same starvation: on generated programs
+   the happened-before fill must mark a summary truncated whenever a
+   cut enumeration walk left a pair undecided (the bits it does report
+   stay a subset of the exact ones), and must never file such a summary
+   where an unstarved session would find it. *)
+let test_starved_summary_truncated_and_uncached () =
+  let cache = { Session.memory = true; dir = None } in
+  let rs = Random.State.make [| 7 |] in
+  let truncated = ref 0 in
+  for _ = 1 to 300 do
+    match small_execution (Gen_progs.program_gen rs) with
+    | None -> ()
+    | Some x -> (
+        Session.clear_memory_cache ();
+        let exact =
+          with_engine Engine.Packed @@ fun () ->
+          (Session.summary_reduced (fresh_session x)).Session.before_some
+        in
+        let summary () =
+          with_engine Engine.Auto @@ fun () ->
+          Session.summary_reduced_outcome (Session.of_execution ~cache x)
+        in
+        let starved =
+          with_env "EO_TRIAGE_REACH_NODES" "1" @@ fun () ->
+          with_env "EO_TRIAGE_SAT_CONFLICTS" "1" @@ fun () ->
+          with_env "EO_TRIAGE_ENUM_NODES" "1" @@ fun () -> summary ()
+        in
+        match starved with
+        | Budget.Exact s ->
+            if not (Rel.equal s.Session.before_some exact) then
+              Alcotest.fail "starved summary wrong but reported exact"
+        | Budget.Bound_hit s -> (
+            incr truncated;
+            Alcotest.(check bool) "truncated flag" true s.Session.truncated;
+            if not (Rel.subset s.Session.before_some exact) then
+              Alcotest.fail "partial before bits over-report";
+            match summary () with
+            | Budget.Bound_hit _ ->
+                Alcotest.fail "starved summary served from the cache"
+            | Budget.Exact s ->
+                if not (Rel.equal s.Session.before_some exact) then
+                  Alcotest.fail "unstarved summary wrong"))
+  done;
+  Session.clear_memory_cache ();
+  if !truncated = 0 then Alcotest.fail "no generated program was truncated"
+
 let test_races_big_budget_truncates () =
   let big = Progen.big_trace ~family:Progen.Pc_mesh ~events:4_096 ~seed:5 in
   let budget = Budget.create ~node_budget:3 () in
@@ -583,4 +670,8 @@ let suite =
       test_dead_budget_degrades_soundly;
     Alcotest.test_case "races_big budget expiry truncates the report" `Quick
       test_races_big_budget_truncates;
+    Alcotest.test_case "starved ladder is never wrongly exact" `Quick
+      test_starved_ladder_never_wrongly_exact;
+    Alcotest.test_case "starved summary is truncated, not cached" `Quick
+      test_starved_summary_truncated_and_uncached;
   ]
